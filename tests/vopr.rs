@@ -321,3 +321,27 @@ fn fail_node_of_all_workers_degrades_cleanly_on_both_engines() {
     });
     check(&outcomes, w, "mt");
 }
+
+/// The simulator's schedule under a fixed seed with every fault class armed
+/// is pinned per workload: a refactor of the engine internals must replay
+/// each workload to the same perturbed event schedule, byte for byte.
+/// A mismatch means scheduling behaviour changed; re-pin only for a
+/// deliberate, explained change.
+#[test]
+fn pinned_seed_replays_to_committed_schedule_hashes() {
+    let pinned = [
+        (WorkloadKind::Life, 0xa08b_e19c_cc6f_fbe6_u64),
+        (WorkloadKind::Lu, 0x55c8_e207_c848_4c47),
+        (WorkloadKind::MatMul, 0xdf9f_6e79_1b67_c876),
+        (WorkloadKind::Pipeline, 0xfb78_dff2_eb20_e3ef),
+    ];
+    for (workload, expected) in pinned {
+        let hash = Vopr::new(VoprConfig::new(workload, 0xD15C0))
+            .replay_check()
+            .unwrap_or_else(|f| panic!("{workload}: replay identity broke:\n{f}"));
+        assert_eq!(
+            hash, expected,
+            "{workload}: schedule hash 0x{hash:016x}, pinned 0x{expected:016x}"
+        );
+    }
+}
