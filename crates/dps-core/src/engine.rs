@@ -22,13 +22,14 @@ use dps_obs::{Counter, EventKind, LabelId, TraceCollector, TraceWriter};
 use dps_sched::FeedbackSink;
 
 use crate::builder::GraphBuilder;
-use crate::envelope::{CallFrame, Envelope, Frame, GNodeId, WaveKey};
+use crate::envelope::{Envelope, GNodeId, WaveKey};
 use crate::error::{DpsError, Result};
 use crate::graph::{Flowgraph, OpKind};
 use crate::ops::{DynOp, ExecInfo, OpOutput, ThreadData};
 use crate::route::{DynRoute, RouteInfo};
 use crate::threads::ThreadCollection;
 use crate::token::{register_token, wire_roundtrip, Token, TokenBox, TokenRegistry};
+use crate::wave::{exit, CallReturn, Exit, Flow, WaveCount};
 
 /// Engine tunables.
 #[derive(Debug, Clone)]
@@ -121,29 +122,30 @@ struct WaveRt {
     thread: u32,
     node: GNodeId,
     op: Option<Box<dyn DynOp>>,
-    received: u32,
-    expected: Option<u32>,
+    count: WaveCount,
     parent_env: Envelope,
     /// Stream output wave id (allocated eagerly; unused for merges).
     out_wave: u64,
-    out_index: u32,
-}
-
-struct OutboundPost {
-    send_at: SimTime,
-    token: TokenBox,
-    env: Envelope,
 }
 
 struct FlowRt {
-    pending: VecDeque<OutboundPost>,
-    outstanding: u32,
-    window: u32,
-    complete: bool,
-    from_node: GNodeId,
+    /// Posts carry their virtual send time.
+    flow: Flow<(SimTime, TokenBox)>,
+    /// Cluster node the posts leave from.
     src: NodeId,
     stalled_thread: Option<ThreadKey>,
     pump_scheduled: bool,
+}
+
+impl FlowRt {
+    fn new(flow: Flow<(SimTime, TokenBox)>, src: NodeId) -> Self {
+        Self {
+            flow,
+            src,
+            stalled_thread: None,
+            pump_scheduled: false,
+        }
+    }
 }
 
 struct GraphRt {
@@ -154,13 +156,6 @@ struct GraphRt {
     flows: HashMap<(u32, u64), FlowRt>,
     /// Wave totals that arrived before any token of their wave was routed.
     pending_closes: HashMap<WaveKey, u32>,
-}
-
-struct CallReturn {
-    app: u32,
-    graph: u32,
-    node: GNodeId,
-    env: Envelope,
 }
 
 struct AppRt {
@@ -524,16 +519,16 @@ impl SimEngine {
                         g.def.name(),
                         node.name,
                         key.src,
-                        wave.received,
-                        wave.expected
+                        wave.count.received(),
+                        wave.count.expected()
                     ));
                 }
                 for ((node, wv), flow) in &g.flows {
-                    if !flow.pending.is_empty() {
+                    if flow.flow.pending() > 0 {
                         stuck.push(format!(
                             "graph {} flow from node g{node} wave {wv}: {} posts undelivered",
                             g.def.name(),
-                            flow.pending.len()
+                            flow.flow.pending()
                         ));
                     }
                 }
@@ -936,7 +931,7 @@ fn route_and_send(
         let wave_thread = sim.world.graph(app, graph).waves.get(&key).map(|w| {
             (
                 w.thread,
-                w.received == 0 && w.op.is_none(), // no partial state yet
+                w.count.received() == 0 && w.op.is_none(), // no partial state yet
             )
         });
         match wave_thread {
@@ -975,11 +970,9 @@ fn route_and_send(
                         thread,
                         node: to,
                         op: None,
-                        received: 0,
-                        expected: pending_close,
+                        count: WaveCount::new(pending_close),
                         parent_env,
                         out_wave,
-                        out_index: 0,
                     },
                 );
             }
@@ -1226,9 +1219,6 @@ fn run_delivery(sim: &mut Sim<Rt>, tk: ThreadKey, node: NodeId, d: Delivery) -> 
     }
     let start = sim.now();
     let kind = sim.world.graph(tk.app, d.graph).def.node(d.node).kind;
-    if let Payload::Close { total } = d.payload {
-        return run_close(sim, tk, node, d.graph, d.node, kind, d.env, total, start);
-    }
     match kind {
         OpKind::Split | OpKind::Leaf => run_exec(sim, tk, node, d, kind, start),
         OpKind::Merge | OpKind::Stream => run_consume(sim, tk, node, d, kind, start),
@@ -1281,7 +1271,7 @@ fn run_exec(
         .clone();
 
     let Payload::Token(in_token) = d.payload else {
-        unreachable!("close payloads are dispatched before run_exec");
+        unreachable!("closes only target merge/stream nodes");
     };
     let mut out = OpOutput::default();
     let res = op.on_token(&mut out, data.as_mut(), info, &node_name, in_token);
@@ -1336,47 +1326,15 @@ fn run_exec(
                     }
                 });
             }
-            let total = out.posts.len() as u32;
-            let mut pending = VecDeque::with_capacity(out.posts.len());
-            for (i, post) in out.posts.into_iter().enumerate() {
-                let mut env = d.env.clone();
-                env.push(Frame {
-                    src: d.node,
-                    wave,
-                    index: i as u32,
-                    total: (i as u32 == total - 1).then_some(total),
-                });
-                pending.push_back(OutboundPost {
-                    send_at: start + overhead + post.offset,
-                    token: post.token,
-                    env,
-                });
-            }
-            let mut window = sim.world.cfg.flow_window;
-            if sim
-                .world
-                .graph(tk.app, d.graph)
-                .def
-                .matching_pop(d.node)
-                .is_none()
-            {
-                // Serving-graph exit split: the wave crosses back to the
-                // caller, so no in-graph merge returns credits.
-                window = 0;
-            }
-            sim.world.graph(tk.app, d.graph).flows.insert(
-                (d.node.0, wave),
-                FlowRt {
-                    pending,
-                    outstanding: 0,
-                    window,
-                    complete: true,
-                    from_node: d.node,
-                    src: node,
-                    stalled_thread: None,
-                    pump_scheduled: false,
-                },
-            );
+            let window = sim.world.cfg.flow_window;
+            let posts = out
+                .posts
+                .into_iter()
+                .map(|p| (start + overhead + p.offset, p.token));
+            let g = sim.world.graph(tk.app, d.graph);
+            let merge = g.def.matching_pop(d.node);
+            let flow = Flow::split(merge, &d.env, d.node, wave, window, posts);
+            g.flows.insert((d.node.0, wave), FlowRt::new(flow, node));
             pump_flow(sim, tk.app, d.graph, (d.node.0, wave));
             // At op completion: free the thread, stalling it if the wave
             // still has blocked posts.
@@ -1402,7 +1360,8 @@ fn run_exec(
     hold
 }
 
-/// Merge/stream consume (and finalize when the wave completes).
+/// Merge/stream consume of a data object or a wave close, and finalize
+/// when the wave completes.
 fn run_consume(
     sim: &mut Sim<Rt>,
     tk: ThreadKey,
@@ -1412,79 +1371,71 @@ fn run_consume(
     start: SimTime,
 ) -> SimSpan {
     let info = exec_info(sim, tk, node, start);
+    let overhead = sim.world.cfg.op_overhead;
     let key = d.env.wave_key().expect("validated depth >= 1");
     let frame = d.env.pop().expect("validated depth >= 1");
-    let node_name = sim
-        .world
-        .graph(tk.app, d.graph)
-        .def
-        .node(d.node)
-        .name
-        .clone();
+    let graph = d.graph;
+    let from = d.node;
+    let node_name = sim.world.graph(tk.app, graph).def.node(from).name.clone();
+    let is_close = matches!(d.payload, Payload::Close { .. });
 
     // Update wave accounting and take the per-wave op instance.
-    let (mut op, completes, parent_env, out_wave, out_index_base) = {
-        let g = sim.world.graph(tk.app, d.graph);
-        let wave = g.waves.get_mut(&key).expect("wave created at routing");
-        wave.received += 1;
-        if let Some(total) = frame.total {
-            wave.expected = Some(total);
-        }
-        if let Some(exp) = wave.expected {
-            if wave.received > exp {
-                let e = DpsError::OperationContract {
-                    node: node_name.clone(),
-                    reason: format!(
-                        "wave received {} tokens but split posted {exp}",
-                        wave.received
-                    ),
-                };
-                sim.world.fail(e);
-                return SimSpan::ZERO;
-            }
-        }
-        let completes = wave.expected == Some(wave.received);
-        let op = match wave.op.take() {
-            Some(op) => op,
-            None => {
-                let factory = g
-                    .def
-                    .node(d.node)
-                    .op_factory
-                    .as_ref()
-                    .expect("merge/stream");
-                factory()
-            }
+    let g = sim.world.graph(tk.app, graph);
+    let Some(wave) = g.waves.get_mut(&key) else {
+        // Tokens create their wave at routing; only a close can find none.
+        let Payload::Close { total } = d.payload else {
+            unreachable!("wave created at routing");
         };
-        let g = sim.world.graph(tk.app, d.graph);
-        let wave = g.waves.get_mut(&key).expect("just used");
-        (
-            op,
-            completes,
-            wave.parent_env.clone(),
-            wave.out_wave,
-            wave.out_index,
-        )
+        g.pending_closes.insert(key, total);
+        sim.schedule_at(start + overhead, move |sim| {
+            finish_exec(sim, tk, graph, None);
+        });
+        return overhead;
+    };
+    let counted = match &d.payload {
+        Payload::Token(_) => wave.count.on_token(&frame, &node_name),
+        Payload::Close { total } => wave.count.on_close(*total, &node_name),
+    };
+    let completes = match counted {
+        Ok(completes) => completes,
+        Err(e) => {
+            sim.world.fail(e);
+            return SimSpan::ZERO;
+        }
+    };
+    if is_close && !completes {
+        // Finalize waits for the remaining data objects.
+        sim.schedule_at(start + overhead, move |sim| {
+            finish_exec(sim, tk, graph, None);
+        });
+        return overhead;
+    }
+    let (parent_env, out_wave) = (wave.parent_env.clone(), wave.out_wave);
+    let mut op = match wave.op.take() {
+        Some(op) => op,
+        None => {
+            let factory = g.def.node(from).op_factory.as_ref().expect("merge/stream");
+            factory()
+        }
     };
 
     let mut data = sim.world.apps[tk.app as usize].tcs[tk.tc as usize].data[tk.thread as usize]
         .take()
         .expect("thread data present when idle");
-    let Payload::Token(in_token) = d.payload else {
-        unreachable!("close payloads are dispatched before run_consume");
-    };
     let mut out = OpOutput::default();
-    let mut res = op.on_token(&mut out, data.as_mut(), info, &node_name, in_token);
+    let mut res = match d.payload {
+        Payload::Token(in_token) => {
+            op.on_token(&mut out, data.as_mut(), info, &node_name, in_token)
+        }
+        Payload::Close { .. } => Ok(()),
+    };
     if res.is_ok() && completes {
         res = op.on_finalize(&mut out, data.as_mut(), info, &node_name);
     }
     sim.world.apps[tk.app as usize].tcs[tk.tc as usize].data[tk.thread as usize] = Some(data);
     // Return the op instance to its wave so later consumes keep its state.
-    {
-        let g = sim.world.graph(tk.app, d.graph);
-        if let Some(wave) = g.waves.get_mut(&key) {
-            wave.op = Some(op);
-        }
+    if let Some(wave) = sim.world.graph(tk.app, graph).waves.get_mut(&key) {
+        wave.op = Some(op);
     }
 
     if let Err(e) = res {
@@ -1492,7 +1443,6 @@ fn run_consume(
         return SimSpan::ZERO;
     }
 
-    let overhead = sim.world.cfg.op_overhead;
     let hold = overhead + out.charged;
     report_completion(sim, tk, &out, hold, start);
     if sim.world.trace.is_some() {
@@ -1512,8 +1462,6 @@ fn run_consume(
             EventKind::OpEnd { op, wave: wave32 },
         );
     }
-    let graph = d.graph;
-    let from = d.node;
 
     // Process posts.
     match kind {
@@ -1521,37 +1469,38 @@ fn run_consume(
             if completes {
                 let post = out.posts.pop().expect("merge contract checked");
                 let send_at = start + overhead + post.offset;
-                let env = parent_env.clone();
                 sim.schedule_at(send_at, move |sim| {
-                    emit(sim, tk.app, graph, from, node, post.token, env);
+                    emit(sim, tk.app, graph, from, node, post.token, parent_env);
                 });
             }
         }
         OpKind::Stream => {
-            match stream_posts(
-                sim,
-                tk,
-                graph,
-                from,
-                node,
-                out.posts,
-                &parent_env,
-                out_wave,
-                out_index_base,
-                completes,
-                start,
-                overhead,
-                &node_name,
-            ) {
-                Ok(total_so_far) => {
-                    let g = sim.world.graph(tk.app, graph);
-                    if let Some(wave) = g.waves.get_mut(&key) {
-                        wave.out_index = total_so_far;
+            if !out.posts.is_empty() || completes {
+                let flow_key = (from.0, out_wave);
+                let window = sim.world.cfg.flow_window;
+                let posts = out
+                    .posts
+                    .into_iter()
+                    .map(|p| (start + overhead + p.offset, p.token));
+                let pushed = sim
+                    .world
+                    .graph(tk.app, graph)
+                    .flows
+                    .entry(flow_key)
+                    .or_insert_with(|| FlowRt::new(Flow::stream(from, out_wave, window), node))
+                    .flow
+                    .push_stream(&parent_env, posts, completes, &node_name);
+                match pushed {
+                    Ok(close) => {
+                        if let Some((env, total)) = close {
+                            deliver_close(sim, tk.app, graph, env, total);
+                        }
+                        pump_flow(sim, tk.app, graph, flow_key);
                     }
-                }
-                Err(e) => {
-                    sim.world.fail(e);
-                    return SimSpan::ZERO;
+                    Err(e) => {
+                        sim.world.fail(e);
+                        return SimSpan::ZERO;
+                    }
                 }
             }
         }
@@ -1576,7 +1525,9 @@ fn run_consume(
 
     // Credit the producing flow: one token of (frame.src, frame.wave) has
     // been consumed by its matching merge/stream.
-    credit_flow(sim, tk.app, graph, (frame.src.0, frame.wave));
+    if !is_close {
+        credit_flow(sim, tk.app, graph, (frame.src.0, frame.wave));
+    }
 
     sim.schedule_at(start + hold, move |sim| {
         finish_exec(sim, tk, graph, None);
@@ -1606,27 +1557,18 @@ fn run_call(
     };
     let call_id = sim.world.next_call;
     sim.world.next_call += 1;
-    sim.world.pending_calls.insert(
-        call_id,
-        CallReturn {
-            app: tk.app,
-            graph: d.graph,
-            node: d.node,
-            env: d.env.clone(),
-        },
-    );
-    let mut callee_env = Envelope::root();
-    callee_env.calls = d.env.calls.clone();
-    callee_env.calls.push(CallFrame {
-        caller_app: tk.app,
-        caller_graph: d.graph,
-        call_node: d.node,
-        call_id,
-    });
-    let hold = sim.world.cfg.op_overhead;
     let Payload::Token(token) = d.payload else {
-        unreachable!("close payloads are dispatched before run_call");
+        unreachable!("closes only target merge/stream nodes");
     };
+    let ret = CallReturn {
+        app: tk.app,
+        graph: d.graph,
+        node: d.node,
+        env: d.env,
+    };
+    let callee_env = ret.callee_env(call_id);
+    sim.world.pending_calls.insert(call_id, ret);
+    let hold = sim.world.cfg.op_overhead;
     sim.schedule_at(start + hold, move |sim| {
         inject_internal(sim, target.app, target.graph, token, callee_env, node);
     });
@@ -1635,93 +1577,6 @@ fn run_call(
         finish_exec(sim, tk, graph, None);
     });
     hold
-}
-
-/// Append stream posts to the stream's output-wave flow. On wave
-/// completion the total count travels inline on the final data object if it
-/// is still pending; otherwise a wave-close control message carries it
-/// (paper: DPS "keeps track of the number of data objects generated by the
-/// corresponding split operation" via control structures).
-#[allow(clippy::too_many_arguments)]
-fn stream_posts(
-    sim: &mut Sim<Rt>,
-    tk: ThreadKey,
-    graph: u32,
-    gnode: GNodeId,
-    src: NodeId,
-    posts: Vec<crate::ops::Post>,
-    parent_env: &Envelope,
-    out_wave: u64,
-    out_index_base: u32,
-    completes: bool,
-    start: SimTime,
-    overhead: SimSpan,
-    node_name: &str,
-) -> Result<u32> {
-    let n_posts = posts.len() as u32;
-    let total_so_far = out_index_base + n_posts;
-    if n_posts == 0 && !completes {
-        return Ok(total_so_far);
-    }
-    let flow_key = (gnode.0, out_wave);
-    let window = sim.world.cfg.flow_window;
-    let mut close_needed = false;
-    {
-        let g = sim.world.graph(tk.app, graph);
-        let flow = g.flows.entry(flow_key).or_insert_with(|| FlowRt {
-            pending: VecDeque::new(),
-            outstanding: 0,
-            window,
-            complete: false,
-            from_node: gnode,
-            src,
-            stalled_thread: None,
-            pump_scheduled: false,
-        });
-        for (i, post) in posts.into_iter().enumerate() {
-            let mut env = parent_env.clone();
-            env.push(Frame {
-                src: gnode,
-                wave: out_wave,
-                index: out_index_base + i as u32,
-                total: None,
-            });
-            flow.pending.push_back(OutboundPost {
-                send_at: start + overhead + post.offset,
-                token: post.token,
-                env,
-            });
-        }
-        if completes {
-            if total_so_far == 0 {
-                return Err(DpsError::OperationContract {
-                    node: node_name.to_string(),
-                    reason: "stream operation posted no tokens across its wave".into(),
-                });
-            }
-            flow.complete = true;
-            match flow.pending.back_mut() {
-                Some(last) => {
-                    if let Some(f) = last.env.frames.last_mut() {
-                        f.total = Some(total_so_far);
-                    }
-                }
-                None => close_needed = true,
-            }
-        }
-    }
-    if close_needed {
-        let mut close_env = parent_env.clone();
-        close_env.push(Frame {
-            src: gnode,
-            wave: out_wave,
-            index: 0,
-            total: Some(total_so_far),
-        });
-        deliver_close(sim, tk.app, graph, close_env, total_so_far);
-    }
-    pump_flow(sim, tk.app, graph, flow_key);
-    Ok(total_so_far)
 }
 
 /// Deliver a wave-close (final token count) to the wave's owning thread; if
@@ -1753,145 +1608,6 @@ fn deliver_close(sim: &mut Sim<Rt>, app: u32, graph: u32, env: Envelope, total: 
             g.pending_closes.insert(key, total);
         }
     }
-}
-
-/// Handle a wave-close delivery: record the expected count and finalize the
-/// wave if every data object has already been consumed.
-#[allow(clippy::too_many_arguments)]
-fn run_close(
-    sim: &mut Sim<Rt>,
-    tk: ThreadKey,
-    node: NodeId,
-    graph: u32,
-    gnode: GNodeId,
-    kind: OpKind,
-    env: Envelope,
-    total: u32,
-    start: SimTime,
-) -> SimSpan {
-    let info = exec_info(sim, tk, node, start);
-    let overhead = sim.world.cfg.op_overhead;
-    let key = env
-        .wave_key()
-        .expect("close envelopes carry the wave frame");
-    let node_name = sim.world.graph(tk.app, graph).def.node(gnode).name.clone();
-    let taken = {
-        let g = sim.world.graph(tk.app, graph);
-        let Some(wave) = g.waves.get_mut(&key) else {
-            g.pending_closes.insert(key, total);
-            sim.schedule_at(start + overhead, move |sim| {
-                finish_exec(sim, tk, graph, None);
-            });
-            return overhead;
-        };
-        wave.expected = Some(total);
-        if wave.received > total {
-            let e = DpsError::OperationContract {
-                node: node_name.clone(),
-                reason: format!(
-                    "wave received {} tokens but producer posted {total}",
-                    wave.received
-                ),
-            };
-            sim.world.fail(e);
-            return SimSpan::ZERO;
-        }
-        let g = sim.world.graph(tk.app, graph);
-        let wave = g.waves.get_mut(&key).expect("just used");
-        if wave.received != total {
-            None // finalize waits for the remaining data objects
-        } else {
-            Some((
-                wave.op.take().expect("op exists once a token was consumed"),
-                wave.parent_env.clone(),
-                wave.out_wave,
-                wave.out_index,
-            ))
-        }
-    };
-    let Some((mut op, parent_env, out_wave, out_index_base)) = taken else {
-        sim.schedule_at(start + overhead, move |sim| {
-            finish_exec(sim, tk, graph, None);
-        });
-        return overhead;
-    };
-
-    let mut data = sim.world.apps[tk.app as usize].tcs[tk.tc as usize].data[tk.thread as usize]
-        .take()
-        .expect("thread data present when idle");
-    let mut out = OpOutput::default();
-    let res = op.on_finalize(&mut out, data.as_mut(), info, &node_name);
-    sim.world.apps[tk.app as usize].tcs[tk.tc as usize].data[tk.thread as usize] = Some(data);
-    if let Err(e) = res {
-        sim.world.fail(e);
-        return SimSpan::ZERO;
-    }
-    let hold = overhead + out.charged;
-    match kind {
-        OpKind::Merge => {
-            let post = out.posts.pop().expect("merge contract checked");
-            let send_at = start + overhead + post.offset;
-            let env_out = parent_env;
-            sim.schedule_at(send_at, move |sim| {
-                emit(sim, tk.app, graph, gnode, node, post.token, env_out);
-            });
-        }
-        OpKind::Stream => {
-            if let Err(e) = stream_posts(
-                sim,
-                tk,
-                graph,
-                gnode,
-                node,
-                out.posts,
-                &parent_env,
-                out_wave,
-                out_index_base,
-                true,
-                start,
-                overhead,
-                &node_name,
-            ) {
-                sim.world.fail(e);
-                return SimSpan::ZERO;
-            }
-        }
-        _ => unreachable!("closes only target merge/stream nodes"),
-    }
-    if sim.world.trace.is_some() {
-        let op = sim.world.trace_label(&node_name);
-        let wave32 = key.wave as u32;
-        let track = (node.0 as u16, tk.thread as u16);
-        sim.world.trace_on(
-            start,
-            track.0,
-            track.1,
-            EventKind::OpStart { op, wave: wave32 },
-        );
-        sim.world.trace_on(
-            start + hold,
-            track.0,
-            track.1,
-            EventKind::OpEnd { op, wave: wave32 },
-        );
-        let gname = sim.world.graph(tk.app, graph).def.name().to_string();
-        let graph_label = sim.world.trace_label(&gname);
-        sim.world.trace_on(
-            start + hold,
-            track.0,
-            track.1,
-            EventKind::WaveEnd {
-                graph: graph_label,
-                wave: wave32,
-            },
-        );
-        sim.world.trace_drain();
-    }
-    sim.world.graph(tk.app, graph).waves.remove(&key);
-    sim.schedule_at(start + hold, move |sim| {
-        finish_exec(sim, tk, graph, None);
-    });
-    hold
 }
 
 /// If the finished execution marked a scheduled chunk complete, report its
@@ -1960,7 +1676,7 @@ fn finish_exec(sim: &mut Sim<Rt>, tk: ThreadKey, graph: u32, split_flow: Option<
             let g = sim.world.graph(tk.app, graph);
             g.flows
                 .get(&key)
-                .map(|f| !f.pending.is_empty())
+                .map(|f| f.flow.pending() > 0)
                 .unwrap_or(false)
         };
         if needs_stall {
@@ -1987,13 +1703,9 @@ fn pump_flow(sim: &mut Sim<Rt>, app: u32, graph: u32, key: (u32, u64)) {
         let Some(flow) = g.flows.get_mut(&key) else {
             return;
         };
-        if flow.window > 0 && flow.outstanding >= flow.window {
+        let Some(&(send_at, _)) = flow.flow.admit() else {
             break;
-        }
-        if flow.pending.is_empty() {
-            break;
-        }
-        let send_at = flow.pending.front().expect("non-empty").send_at;
+        };
         if send_at > now {
             if !flow.pump_scheduled {
                 flow.pump_scheduled = true;
@@ -2006,19 +1718,16 @@ fn pump_flow(sim: &mut Sim<Rt>, app: u32, graph: u32, key: (u32, u64)) {
             }
             break;
         }
-        let post = flow.pending.pop_front().expect("non-empty");
-        flow.outstanding += 1;
-        let from = flow.from_node;
-        let src = flow.src;
-        emit(sim, app, graph, from, src, post.token, post.env);
+        let ((_, token), env) = flow.flow.take().expect("admitted above");
+        let (from, src) = (flow.flow.src(), flow.src);
+        emit(sim, app, graph, from, src, token, env);
     }
     // Drain: unstall the producing thread and drop exhausted flows.
     let g = sim.world.graph(app, graph);
     if let Some(flow) = g.flows.get_mut(&key) {
-        if flow.pending.is_empty() && flow.complete {
+        if flow.flow.drained() {
             let unstall = flow.stalled_thread.take();
-            let exhausted = flow.outstanding == 0;
-            if exhausted {
+            if flow.flow.exhausted() {
                 g.flows.remove(&key);
             }
             if let Some(tk) = unstall {
@@ -2033,13 +1742,13 @@ fn pump_flow(sim: &mut Sim<Rt>, app: u32, graph: u32, key: (u32, u64)) {
 fn credit_flow(sim: &mut Sim<Rt>, app: u32, graph: u32, key: (u32, u64)) {
     let g = sim.world.graph(app, graph);
     if let Some(flow) = g.flows.get_mut(&key) {
-        flow.outstanding = flow.outstanding.saturating_sub(1);
+        flow.flow.credit();
         pump_flow(sim, app, graph, key);
     }
 }
 
-/// A token leaves node `from`: select the successor by token type, or handle
-/// graph exit (output collection / service-call return).
+/// A token leaves node `from`: continue at its successor, in the caller of
+/// a service call, or as a graph output.
 fn emit(
     sim: &mut Sim<Rt>,
     app: u32,
@@ -2052,73 +1761,25 @@ fn emit(
     if sim.world.fatal.is_some() {
         return;
     }
-    let now = sim.now();
-    let (succ, has_succs, node_name) = {
-        let g = sim.world.graph(app, graph);
-        (
-            g.def.successor_for(from, token.wire_id()),
-            !g.def.succs(from).is_empty(),
-            g.def.node(from).name.clone(),
-        )
-    };
-    match succ {
-        Some(next) => route_and_send(sim, app, graph, next, src, token, env),
-        None if has_succs => {
-            sim.world.fail(DpsError::NoRoute {
-                node: node_name,
-                token_type: token.type_name(),
-            });
+    let w = &sim.world;
+    let next = exit(
+        &w.apps[app as usize].graphs[graph as usize].def,
+        from,
+        token.as_ref(),
+        &env,
+        |id| w.pending_calls.get(&id).cloned(),
+    );
+    match next {
+        Ok(Exit::Next(to)) => route_and_send(sim, app, graph, to, src, token, env),
+        Ok(Exit::Resume(ret)) => emit(sim, ret.app, ret.graph, ret.node, src, token, ret.env),
+        Ok(Exit::Output) => {
+            let now = sim.now();
+            sim.world
+                .outputs
+                .entry((app, graph))
+                .or_default()
+                .push((now, token));
         }
-        None => {
-            // Graph exit.
-            if env.frames.len() == 1 && !env.calls.is_empty() {
-                // Distributed return (inter-application split/merge pair):
-                // the wave keeps its frame and is merged in the caller.
-                let call = env.calls.last().cloned().expect("checked non-empty");
-                let Some(ret) = sim.world.pending_calls.get(&call.call_id) else {
-                    sim.world.fail(DpsError::OperationContract {
-                        node: node_name,
-                        reason: format!("return for unknown call id {}", call.call_id),
-                    });
-                    return;
-                };
-                let (r_app, r_graph, r_node, r_env) =
-                    (ret.app, ret.graph, ret.node, ret.env.clone());
-                // The frame keeps the callee split as its source: wave keys
-                // are opaque, so the caller's merge collects it verbatim.
-                let mut out_env = r_env;
-                out_env.push(env.frames[0]);
-                emit(sim, r_app, r_graph, r_node, src, token, out_env);
-                return;
-            }
-            if !env.frames.is_empty() {
-                sim.world.fail(DpsError::InvalidGraph {
-                    reason: format!(
-                        "token left the graph at {node_name} with {} unmerged frames",
-                        env.frames.len()
-                    ),
-                });
-                return;
-            }
-            if let Some(call) = env.calls.last().cloned() {
-                // Service-call return: continue in the caller's graph.
-                let Some(ret) = sim.world.pending_calls.get(&call.call_id) else {
-                    sim.world.fail(DpsError::OperationContract {
-                        node: node_name,
-                        reason: format!("return for unknown call id {}", call.call_id),
-                    });
-                    return;
-                };
-                let (r_app, r_graph, r_node, r_env) =
-                    (ret.app, ret.graph, ret.node, ret.env.clone());
-                emit(sim, r_app, r_graph, r_node, src, token, r_env);
-            } else {
-                sim.world
-                    .outputs
-                    .entry((app, graph))
-                    .or_default()
-                    .push((now, token));
-            }
-        }
+        Err(e) => sim.world.fail(e),
     }
 }

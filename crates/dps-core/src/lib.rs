@@ -61,6 +61,7 @@ mod route;
 pub mod sched;
 mod threads;
 mod token;
+mod wave;
 
 pub use api::{Application, Engine, EngineCaps};
 pub use builder::{GraphBuilder, NodeRef, Path};
@@ -90,6 +91,12 @@ pub use dps_sched;
 pub mod internal {
     pub use crate::ops::{DynOp, ExecInfo, OpOutput};
     pub use crate::route::DynRoute;
+
+    /// Wave accounting, flow windows and graph exits, shared by every
+    /// engine.
+    pub mod wave {
+        pub use crate::wave::{exit, CallReturn, Exit, Flow, WaveCount};
+    }
 }
 
 /// Everything needed to write a DPS application.

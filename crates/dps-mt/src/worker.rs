@@ -2,7 +2,8 @@
 //! token queue — the paper's macro data flow execution.
 
 use std::any::Any;
-use std::collections::{HashMap, VecDeque};
+use std::collections::hash_map::Entry;
+use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
@@ -11,10 +12,11 @@ use dps_sched::FeedbackSink;
 
 use crossbeam::channel::{Receiver, Sender};
 use crossbeam::utils::CachePadded;
+use dps_core::internal::wave::{exit, CallReturn, Exit, Flow, WaveCount};
 use dps_core::internal::{DynOp, DynRoute, ExecInfo, OpOutput};
 use dps_core::{
-    wire_roundtrip, CallFrame, DpsError, Envelope, Flowgraph, Frame, GNodeId, OpKind, RouteInfo,
-    Token, TokenBox, TokenRegistry, WaveKey,
+    wire_roundtrip, DpsError, Envelope, Flowgraph, GNodeId, OpKind, RouteInfo, Token, TokenBox,
+    TokenRegistry, WaveKey,
 };
 use dps_obs::{Counter, EventKind, Gauge, TraceCollector, TraceWriter};
 use parking_lot::Mutex;
@@ -23,21 +25,15 @@ use crate::remote::{remote_for, RemoteExec, RemoteKind, RemoteTask};
 
 /// Message to a worker thread.
 pub(crate) enum Msg {
-    /// Process a token at a graph node.
+    /// Process a token at a graph node — or, as `Err(total)`, a wave
+    /// close: the producer of the wave identified by `env` finished after
+    /// its final data object was already in flight; `total` is the wave
+    /// size.
     Deliver {
         graph: u32,
         node: GNodeId,
-        token: TokenBox,
+        token: Result<TokenBox, u32>,
         env: Envelope,
-    },
-    /// Wave-close control info: the producer of the wave identified by
-    /// `env` finished after its final data object was already in flight;
-    /// `total` is the wave size.
-    Close {
-        graph: u32,
-        node: GNodeId,
-        env: Envelope,
-        total: u32,
     },
     /// Terminate the worker.
     Stop,
@@ -105,14 +101,9 @@ impl SharedTc {
 }
 
 pub(crate) struct MtFlow {
-    pending: VecDeque<(TokenBox, Envelope)>,
-    outstanding: u32,
-    complete: bool,
-    from: GNodeId,
+    flow: Flow<TokenBox>,
+    /// Cluster node the posts leave from.
     src_node: u32,
-    /// Serving-graph exit splits have no in-graph merge returning credits;
-    /// their waves are not window-limited.
-    unbounded: bool,
 }
 
 /// One graph node's installed route. Stateless routes (declared via
@@ -159,13 +150,6 @@ pub(crate) struct SharedApp {
     pub graphs: Vec<SharedGraph>,
 }
 
-struct CallRet {
-    app: u32,
-    graph: u32,
-    node: GNodeId,
-    env: Envelope,
-}
-
 pub(crate) struct Shared {
     pub flow_window: u32,
     pub enforce_serialization: bool,
@@ -178,7 +162,7 @@ pub(crate) struct Shared {
     pub services: HashMap<String, (u32, u32)>,
     pub wave_counter: AtomicU64,
     pub call_counter: AtomicU64,
-    pub pending_calls: Mutex<HashMap<u64, CallRetOpaque>>,
+    pub pending_calls: Mutex<HashMap<u64, CallReturn>>,
     pub output_tx: Sender<Output>,
     pub error_tx: Sender<DpsError>,
     /// Chunk-completion reports (wall-clock) go here, if registered — the
@@ -222,17 +206,12 @@ impl Shared {
     }
 }
 
-/// Newtype so `CallRet` stays private to this module.
-pub(crate) struct CallRetOpaque(CallRet);
-
 struct WaveState {
     /// `None` for remotely-executed waves: the op instance lives in the
     /// process hosting this thread's node.
     op: Option<Box<dyn DynOp>>,
-    received: u32,
-    expected: Option<u32>,
+    count: WaveCount,
     out_wave: u64,
-    out_index: u32,
     /// Where this wave consumes (for NodeDown diagnostics when the hosting
     /// node is killed mid-wave).
     graph: u32,
@@ -366,26 +345,17 @@ pub(crate) fn worker_loop(
                 env,
             } => {
                 if dead {
-                    // Stranded delivery: hand it back to the router, which
-                    // sees this node's threads at infinite load and (for
-                    // fresh merge waves) re-pins the wave elsewhere.
-                    route_and_send(&shared, app, graph, gnode, node, token, env);
+                    match token {
+                        // Stranded delivery: hand it back to the router,
+                        // which sees this node's threads at infinite load
+                        // and (for fresh merge waves) re-pins the wave
+                        // elsewhere.
+                        Ok(token) => route_and_send(&shared, app, graph, gnode, node, token, env),
+                        // Wave-close messages follow their wave to its new
+                        // home (or park until a re-routed token re-pins it).
+                        Err(total) => send_close(&shared, app, graph, env, total),
+                    }
                 } else if let Err(e) = handle(&shared, &mut w, graph, gnode, token, env) {
-                    send_error(&shared, app, e);
-                }
-            }
-            Msg::Close {
-                graph,
-                node: gnode,
-                env,
-                total,
-            } => {
-                if dead {
-                    // Wave-close messages follow their wave to its new home
-                    // (or park until a re-routed token re-pins it).
-                    let _ = gnode;
-                    send_close(&shared, app, graph, env, total);
-                } else if let Err(e) = handle_close(&shared, &mut w, graph, gnode, env, total) {
                     send_error(&shared, app, e);
                 }
             }
@@ -500,15 +470,20 @@ fn handle(
     w: &mut Worker,
     graph: u32,
     node: GNodeId,
-    token: TokenBox,
+    token: Result<TokenBox, u32>,
     env: Envelope,
 ) -> Result<(), DpsError> {
     let def = &shared.defs[w.app as usize][graph as usize];
     let kind = def.node(node).kind;
+    if let OpKind::Merge | OpKind::Stream = kind {
+        return handle_consume(shared, w, graph, node, kind, token, env);
+    }
+    let Ok(token) = token else {
+        unreachable!("closes only target merge/stream nodes");
+    };
     match kind {
         OpKind::Split | OpKind::Leaf => handle_exec(shared, w, graph, node, kind, token, env),
-        OpKind::Merge | OpKind::Stream => handle_consume(shared, w, graph, node, kind, token, env),
-        OpKind::Call | OpKind::CallSplit => handle_call(shared, w, graph, node, token, env),
+        _ => handle_call(shared, w, graph, node, token, env),
     }
 }
 
@@ -582,33 +557,19 @@ fn handle_exec(
                     },
                 );
             }
-            let total = posts.len() as u32;
-            let mut pending = VecDeque::with_capacity(posts.len());
-            for (i, post) in posts.into_iter().enumerate() {
-                let mut e = env.clone();
-                e.push(Frame {
-                    src: node,
+            let flow = MtFlow {
+                flow: Flow::split(
+                    def.matching_pop(node),
+                    &env,
+                    node,
                     wave,
-                    index: i as u32,
-                    total: (i as u32 == total - 1).then_some(total),
-                });
-                pending.push_back((post, e));
-            }
-            {
-                let unbounded = def.matching_pop(node).is_none();
-                let g = &shared.apps[w.app as usize].graphs[graph as usize];
-                g.flows.lock().insert(
-                    (node.0, wave),
-                    MtFlow {
-                        pending,
-                        outstanding: 0,
-                        complete: true,
-                        from: node,
-                        src_node: w.node,
-                        unbounded,
-                    },
-                );
-            }
+                    shared.flow_window,
+                    posts,
+                ),
+                src_node: w.node,
+            };
+            let g = &shared.apps[w.app as usize].graphs[graph as usize];
+            g.flows.lock().insert((node.0, wave), flow);
             pump_flow(shared, w.app, graph, (node.0, wave));
         }
         OpKind::Leaf => {
@@ -620,13 +581,15 @@ fn handle_exec(
     Ok(())
 }
 
+/// Merge/stream consume of a data object (`Ok`) or a wave close
+/// (`Err(total)`), and finalize when the wave completes.
 fn handle_consume(
     shared: &Arc<Shared>,
     w: &mut Worker,
     graph: u32,
     node: GNodeId,
     kind: OpKind,
-    token: TokenBox,
+    input: Result<TokenBox, u32>,
     mut env: Envelope,
 ) -> Result<(), DpsError> {
     let def = &shared.defs[w.app as usize][graph as usize];
@@ -640,46 +603,50 @@ fn handle_consume(
     let pre_pop_env = remote.as_ref().map(|_| env.clone());
     let frame = env.pop().expect("validated depth >= 1");
     let parent_env = env;
+    let is_close = input.is_err();
 
-    let early_expected = w.pending_expected.remove(&key);
-    let is_remote = remote.is_some();
-    let wave = w.waves.entry(key.clone()).or_insert_with(|| WaveState {
-        op: (!is_remote).then(|| gnode.make_op().expect("merge/stream has an op")),
-        received: 0,
-        expected: early_expected,
-        out_wave: shared.wave_counter.fetch_add(1, Ordering::Relaxed),
-        out_index: 0,
-        graph,
-        node,
-    });
-    wave.received += 1;
-    if let Some(t) = frame.total {
-        wave.expected = Some(t);
+    let wave = match w.waves.entry(key.clone()) {
+        Entry::Occupied(e) => e.into_mut(),
+        Entry::Vacant(v) => match input {
+            // The close overtook the wave's first data object.
+            Err(total) => {
+                w.pending_expected.insert(v.into_key(), total);
+                return Ok(());
+            }
+            Ok(_) => v.insert(WaveState {
+                op: remote
+                    .is_none()
+                    .then(|| gnode.make_op().expect("merge/stream has an op")),
+                count: WaveCount::new(w.pending_expected.remove(&key)),
+                out_wave: shared.wave_counter.fetch_add(1, Ordering::Relaxed),
+                graph,
+                node,
+            }),
+        },
+    };
+    let completes = match input {
+        Ok(_) => wave.count.on_token(&frame, &name)?,
+        Err(total) => wave.count.on_close(total, &name)?,
+    };
+    if is_close && !completes {
+        // Finalize waits for the remaining data objects.
+        return Ok(());
     }
-    if let Some(exp) = wave.expected {
-        if wave.received > exp {
-            return Err(DpsError::OperationContract {
-                node: name,
-                reason: format!(
-                    "wave received {} tokens but split posted {exp}",
-                    wave.received
-                ),
-            });
-        }
-    }
-    let completes = wave.expected == Some(wave.received);
     let out_wave = wave.out_wave;
-    let out_index_base = wave.out_index;
 
     let mut posts: Vec<TokenBox> = if let Some(r) = remote {
+        let kind = match input {
+            Ok(_) => RemoteKind::Consume { completes },
+            Err(_) => RemoteKind::Finalize,
+        };
         let outcome = r.execute(RemoteTask {
             app: w.app,
             tc: w.tc,
             thread: w.thread,
             graph,
             node,
-            kind: RemoteKind::Consume { completes },
-            token: Some(token),
+            kind,
+            token: input.ok(),
             env: pre_pop_env.expect("cloned when the hook matched"),
         })?;
         apply_reports(shared, w.app, w.tc, w.thread, &outcome.reports);
@@ -689,7 +656,9 @@ fn handle_consume(
         let op = wave.op.as_mut().expect("local waves hold their op");
         let mut out = OpOutput::default();
         let t0 = Instant::now();
-        op.on_token(&mut out, w.data.as_mut(), info, &name, token)?;
+        if let Ok(token) = input {
+            op.on_token(&mut out, w.data.as_mut(), info, &name, token)?;
+        }
         if completes {
             op.on_finalize(&mut out, w.data.as_mut(), info, &name)?;
         }
@@ -717,65 +686,18 @@ fn handle_consume(
             }
         }
         OpKind::Stream => {
-            let n_posts = posts.len() as u32;
-            let mut close_to_send: Option<(Envelope, u32)> = None;
-            if n_posts > 0 || completes {
+            if !posts.is_empty() || completes {
                 let flow_key = (node.0, out_wave);
-                {
+                let close = {
                     let g = &shared.apps[w.app as usize].graphs[graph as usize];
                     let mut flows = g.flows.lock();
-                    let flow = flows.entry(flow_key).or_insert_with(|| MtFlow {
-                        pending: VecDeque::new(),
-                        outstanding: 0,
-                        complete: false,
-                        from: node,
+                    let mt = flows.entry(flow_key).or_insert_with(|| MtFlow {
+                        flow: Flow::stream(node, out_wave, shared.flow_window),
                         src_node: w.node,
-                        unbounded: false,
                     });
-                    for (i, post) in posts.into_iter().enumerate() {
-                        let mut e = parent_env.clone();
-                        e.push(Frame {
-                            src: node,
-                            wave: out_wave,
-                            index: out_index_base + i as u32,
-                            total: None,
-                        });
-                        flow.pending.push_back((post, e));
-                    }
-                    if completes {
-                        let total = out_index_base + n_posts;
-                        if total == 0 {
-                            return Err(DpsError::OperationContract {
-                                node: name,
-                                reason: "stream operation posted no tokens across its wave".into(),
-                            });
-                        }
-                        flow.complete = true;
-                        match flow.pending.back_mut() {
-                            Some((_, last_env)) => {
-                                if let Some(f) = last_env.frames.last_mut() {
-                                    f.total = Some(total);
-                                }
-                            }
-                            None => {
-                                // Final data object already in flight: the
-                                // count travels as a wave-close message.
-                                let mut close_env = parent_env.clone();
-                                close_env.push(Frame {
-                                    src: node,
-                                    wave: out_wave,
-                                    index: 0,
-                                    total: Some(total),
-                                });
-                                close_to_send = Some((close_env, total));
-                            }
-                        }
-                    }
-                }
-                if let Some(wv) = w.waves.get_mut(&key) {
-                    wv.out_index = out_index_base + n_posts;
-                }
-                if let Some((close_env, total)) = close_to_send {
+                    mt.flow.push_stream(&parent_env, posts, completes, &name)?
+                };
+                if let Some((close_env, total)) = close {
                     send_close(shared, w.app, graph, close_env, total);
                 }
                 pump_flow(shared, w.app, graph, flow_key);
@@ -800,7 +722,9 @@ fn handle_consume(
         let g = &shared.apps[w.app as usize].graphs[graph as usize];
         g.wave_threads.lock().remove(&key);
     }
-    credit_flow(shared, w.app, graph, (frame.src.0, frame.wave));
+    if !is_close {
+        credit_flow(shared, w.app, graph, (frame.src.0, frame.wave));
+    }
     Ok(())
 }
 
@@ -822,168 +746,16 @@ fn handle_call(
         return Err(DpsError::UnknownService { name: service });
     };
     let call_id = shared.call_counter.fetch_add(1, Ordering::Relaxed);
-    shared.pending_calls.lock().insert(
-        call_id,
-        CallRetOpaque(CallRet {
-            app: w.app,
-            graph,
-            node,
-            env: env.clone(),
-        }),
-    );
-    let mut callee_env = Envelope::root();
-    callee_env.calls = env.calls;
-    callee_env.calls.push(CallFrame {
-        caller_app: w.app,
-        caller_graph: graph,
-        call_node: node,
-        call_id,
-    });
+    let ret = CallReturn {
+        app: w.app,
+        graph,
+        node,
+        env,
+    };
+    let callee_env = ret.callee_env(call_id);
+    shared.pending_calls.lock().insert(call_id, ret);
     let entry = shared.defs[t_app as usize][t_graph as usize].entry();
     route_and_send(shared, t_app, t_graph, entry, w.node, token, callee_env);
-    Ok(())
-}
-
-/// Handle a wave-close: record the expected count; finalize if all data
-/// objects were already consumed.
-fn handle_close(
-    shared: &Arc<Shared>,
-    w: &mut Worker,
-    graph: u32,
-    node: GNodeId,
-    mut env: Envelope,
-    total: u32,
-) -> Result<(), DpsError> {
-    let def = &shared.defs[w.app as usize][graph as usize];
-    let gnode = def.node(node);
-    let name = gnode.name.clone();
-    let info = exec_info(shared, w);
-    let key = env
-        .wave_key()
-        .expect("close envelopes carry the wave frame");
-    let remote = remote_for(&shared.remote, w.node);
-    let pre_pop_env = remote.as_ref().map(|_| env.clone());
-    let _ = env.pop();
-    let parent_env = env;
-
-    let Some(wave) = w.waves.get_mut(&key) else {
-        w.pending_expected.insert(key, total);
-        return Ok(());
-    };
-    wave.expected = Some(total);
-    if wave.received > total {
-        return Err(DpsError::OperationContract {
-            node: name,
-            reason: format!(
-                "wave received {} tokens but producer posted {total}",
-                wave.received
-            ),
-        });
-    }
-    if wave.received != total {
-        return Ok(());
-    }
-    let mut wave = w.waves.remove(&key).expect("present above");
-    let mut posts: Vec<TokenBox> = if let Some(r) = remote {
-        let outcome = r.execute(RemoteTask {
-            app: w.app,
-            tc: w.tc,
-            thread: w.thread,
-            graph,
-            node,
-            kind: RemoteKind::Finalize,
-            token: None,
-            env: pre_pop_env.expect("cloned when the hook matched"),
-        })?;
-        apply_reports(shared, w.app, w.tc, w.thread, &outcome.reports);
-        outcome.posts
-    } else {
-        let mut out = OpOutput::default();
-        wave.op
-            .as_mut()
-            .expect("local waves hold their op")
-            .on_finalize(&mut out, w.data.as_mut(), info, &name)?;
-        out.posts.into_iter().map(|p| p.token).collect()
-    };
-    match gnode.kind {
-        OpKind::Merge => {
-            let post = posts.pop().ok_or_else(|| DpsError::OperationContract {
-                node: name.clone(),
-                reason: "merge wave completed without an output".into(),
-            })?;
-            emit(shared, w.app, graph, node, w.node, post, parent_env);
-        }
-        OpKind::Stream => {
-            let n_posts = posts.len() as u32;
-            let total_out = wave.out_index + n_posts;
-            if total_out == 0 {
-                return Err(DpsError::OperationContract {
-                    node: name,
-                    reason: "stream operation posted no tokens across its wave".into(),
-                });
-            }
-            let flow_key = (node.0, wave.out_wave);
-            let mut close_to_send: Option<(Envelope, u32)> = None;
-            {
-                let g = &shared.apps[w.app as usize].graphs[graph as usize];
-                let mut flows = g.flows.lock();
-                let flow = flows.entry(flow_key).or_insert_with(|| MtFlow {
-                    pending: VecDeque::new(),
-                    outstanding: 0,
-                    complete: false,
-                    from: node,
-                    src_node: w.node,
-                    unbounded: false,
-                });
-                for (i, post) in posts.into_iter().enumerate() {
-                    let mut e = parent_env.clone();
-                    e.push(Frame {
-                        src: node,
-                        wave: wave.out_wave,
-                        index: wave.out_index + i as u32,
-                        total: None,
-                    });
-                    flow.pending.push_back((post, e));
-                }
-                flow.complete = true;
-                match flow.pending.back_mut() {
-                    Some((_, last_env)) => {
-                        if let Some(f) = last_env.frames.last_mut() {
-                            f.total = Some(total_out);
-                        }
-                    }
-                    None => {
-                        let mut close_env = parent_env.clone();
-                        close_env.push(Frame {
-                            src: node,
-                            wave: wave.out_wave,
-                            index: 0,
-                            total: Some(total_out),
-                        });
-                        close_to_send = Some((close_env, total_out));
-                    }
-                }
-            }
-            if let Some((close_env, t)) = close_to_send {
-                send_close(shared, w.app, graph, close_env, t);
-            }
-            pump_flow(shared, w.app, graph, flow_key);
-        }
-        _ => unreachable!("closes only target merge/stream nodes"),
-    }
-    if let Some(c) = shared.trace.as_ref() {
-        let graph_label = c.label(def.name());
-        w.trace(
-            shared,
-            EventKind::WaveEnd {
-                graph: graph_label,
-                wave: key.wave as u32,
-            },
-        );
-        c.drain();
-    }
-    let g = &shared.apps[w.app as usize].graphs[graph as usize];
-    g.wave_threads.lock().remove(&key);
     Ok(())
 }
 
@@ -1022,11 +794,11 @@ fn send_close(shared: &Arc<Shared>, app: u32, graph: u32, close_env: Envelope, t
             }
             shared_tc.enqueue(
                 t as usize,
-                Msg::Close {
+                Msg::Deliver {
                     graph,
                     node: merge_node,
+                    token: Err(total),
                     env: close_env,
-                    total,
                 },
             );
         }
@@ -1036,8 +808,8 @@ fn send_close(shared: &Arc<Shared>, app: u32, graph: u32, close_env: Envelope, t
     }
 }
 
-/// A token leaves node `from` of `graph`: pick the successor by type, or
-/// handle the graph exit (output collection / call return).
+/// A token leaves node `from` of `graph`: continue at its successor, in the
+/// caller of a service call, or as a graph output.
 fn emit(
     shared: &Arc<Shared>,
     app: u32,
@@ -1048,88 +820,18 @@ fn emit(
     env: Envelope,
 ) {
     let def = &shared.defs[app as usize][graph as usize];
-    match def.successor_for(from, token.wire_id()) {
-        Some(next) => route_and_send(shared, app, graph, next, src_node, token, env),
-        None if !def.succs(from).is_empty() => {
-            send_error(
-                shared,
-                app,
-                DpsError::NoRoute {
-                    node: def.node(from).name.clone(),
-                    token_type: token.type_name(),
-                },
-            );
+    let next = exit(def, from, token.as_ref(), &env, |id| {
+        shared.pending_calls.lock().get(&id).cloned()
+    });
+    match next {
+        Ok(Exit::Next(to)) => route_and_send(shared, app, graph, to, src_node, token, env),
+        Ok(Exit::Resume(ret)) => emit(
+            shared, ret.app, ret.graph, ret.node, src_node, token, ret.env,
+        ),
+        Ok(Exit::Output) => {
+            let _ = shared.output_tx.send(Output { app, graph, token });
         }
-        None => {
-            if env.frames.len() == 1 && !env.calls.is_empty() {
-                // Distributed return (inter-application split/merge pair):
-                // the wave keeps its frame and is merged in the caller.
-                let call = env.calls.last().expect("checked non-empty");
-                let ret = {
-                    let calls = shared.pending_calls.lock();
-                    calls
-                        .get(&call.call_id)
-                        .map(|c| (c.0.app, c.0.graph, c.0.node, c.0.env.clone()))
-                };
-                match ret {
-                    Some((r_app, r_graph, r_node, r_env)) => {
-                        let mut out_env = r_env;
-                        out_env.push(env.frames[0]);
-                        emit(shared, r_app, r_graph, r_node, src_node, token, out_env);
-                    }
-                    None => {
-                        send_error(
-                            shared,
-                            app,
-                            DpsError::OperationContract {
-                                node: def.node(from).name.clone(),
-                                reason: format!("return for unknown call id {}", call.call_id),
-                            },
-                        );
-                    }
-                }
-                return;
-            }
-            if !env.frames.is_empty() {
-                send_error(
-                    shared,
-                    app,
-                    DpsError::InvalidGraph {
-                        reason: format!(
-                            "token left the graph at {} with {} unmerged frames",
-                            def.node(from).name,
-                            env.frames.len()
-                        ),
-                    },
-                );
-                return;
-            }
-            if let Some(call) = env.calls.last() {
-                let ret = {
-                    let calls = shared.pending_calls.lock();
-                    calls
-                        .get(&call.call_id)
-                        .map(|c| (c.0.app, c.0.graph, c.0.node, c.0.env.clone()))
-                };
-                match ret {
-                    Some((r_app, r_graph, r_node, r_env)) => {
-                        emit(shared, r_app, r_graph, r_node, src_node, token, r_env);
-                    }
-                    None => {
-                        send_error(
-                            shared,
-                            app,
-                            DpsError::OperationContract {
-                                node: def.node(from).name.clone(),
-                                reason: format!("return for unknown call id {}", call.call_id),
-                            },
-                        );
-                    }
-                }
-            } else {
-                let _ = shared.output_tx.send(Output { app, graph, token });
-            }
-        }
+        Err(e) => send_error(shared, app, e),
     }
 }
 
@@ -1170,7 +872,7 @@ fn route_and_send(
         {
             let mut wt = g.wave_threads.lock();
             match wt.entry(key.clone()) {
-                std::collections::hash_map::Entry::Occupied(mut e) => {
+                Entry::Occupied(mut e) => {
                     let pinned = *e.get();
                     if shared.node_dead(shared_tc.nodes[pinned as usize]) {
                         // The pinned thread died before consuming anything
@@ -1183,27 +885,24 @@ fn route_and_send(
                         thread = pinned;
                     }
                 }
-                std::collections::hash_map::Entry::Vacant(v) => {
+                Entry::Vacant(v) => {
                     v.insert(thread);
                     fresh = true;
                 }
             }
         }
         if fresh {
-            // A close may have raced ahead of the wave's first token.
+            // A close may have raced ahead of the wave's first token; the
+            // token's envelope names the wave it closes.
             let parked = g.pending_closes.lock().remove(&key);
             if let Some(total) = parked {
-                let mut close_env = env.clone();
-                if let Some(f) = close_env.frames.last_mut() {
-                    f.total = Some(total);
-                }
                 shared.apps[app as usize].tcs[tc as usize].enqueue(
                     thread as usize,
-                    Msg::Close {
+                    Msg::Deliver {
                         graph,
                         node: to,
-                        env: close_env,
-                        total,
+                        token: Err(total),
+                        env: env.clone(),
                     },
                 );
             }
@@ -1239,36 +938,30 @@ fn route_and_send(
         Msg::Deliver {
             graph,
             node: to,
-            token,
+            token: Ok(token),
             env,
         },
     );
 }
 
-/// Release pending posts of a flow while the window allows; the final post
-/// of an incomplete stream is held back (it must carry the wave total).
+/// Release pending posts of a flow while the window allows; drop the flow
+/// once it is exhausted.
 fn pump_flow(shared: &Arc<Shared>, app: u32, graph: u32, key: (u32, u64)) {
     loop {
-        let item = {
+        let (token, env, from, src_node) = {
             let g = &shared.apps[app as usize].graphs[graph as usize];
             let mut flows = g.flows.lock();
-            let Some(flow) = flows.get_mut(&key) else {
+            let Some(mt) = flows.get_mut(&key) else {
                 return;
             };
-            if !flow.unbounded && shared.flow_window > 0 && flow.outstanding >= shared.flow_window {
-                return;
-            }
-            if flow.pending.is_empty() {
-                if flow.complete && flow.outstanding == 0 {
+            let Some((token, env)) = mt.flow.take() else {
+                if mt.flow.exhausted() {
                     flows.remove(&key);
                 }
                 return;
-            }
-            let (token, env) = flow.pending.pop_front().expect("non-empty");
-            flow.outstanding += 1;
-            (token, env, flow.from, flow.src_node)
+            };
+            (token, env, mt.flow.src(), mt.src_node)
         };
-        let (token, env, from, src_node) = item;
         emit(shared, app, graph, from, src_node, token, env);
     }
 }
@@ -1278,8 +971,8 @@ fn credit_flow(shared: &Arc<Shared>, app: u32, graph: u32, key: (u32, u64)) {
     {
         let g = &shared.apps[app as usize].graphs[graph as usize];
         let mut flows = g.flows.lock();
-        if let Some(flow) = flows.get_mut(&key) {
-            flow.outstanding = flow.outstanding.saturating_sub(1);
+        if let Some(mt) = flows.get_mut(&key) {
+            mt.flow.credit();
         } else {
             return;
         }

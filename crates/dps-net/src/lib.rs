@@ -18,7 +18,6 @@
 //!   machinery: the multi-process `dps-netengine` resolves its worker
 //!   kernels (`kernel1`, `kernel2`, …) to cluster nodes through the same
 //!   registry.
-//! * [`NetTrace`] — optional transfer recording for tests and debugging.
 //!
 //! The model is *reservation-based*: each NIC direction is a
 //! [`Timeline`](dps_des::Timeline), so simultaneous send+receive (the ring
@@ -48,10 +47,8 @@ mod config;
 mod fault;
 mod model;
 mod nameserver;
-mod trace;
 
 pub use config::NetConfig;
 pub use fault::{FaultConfig, FaultDecision, FaultInjector};
 pub use model::{NetworkModel, NodeId, Traffic, TransferPlan};
 pub use nameserver::NameServer;
-pub use trace::{NetTrace, TransferRecord};

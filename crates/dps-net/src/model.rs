@@ -5,7 +5,6 @@ use std::collections::HashSet;
 use dps_des::{SimSpan, SimTime, Timeline};
 
 use crate::config::NetConfig;
-use crate::trace::{NetTrace, TransferRecord};
 
 /// Identifier of a cluster node (index into the cluster's node table).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -59,7 +58,6 @@ pub struct NetworkModel {
     tx: Vec<Timeline>,
     rx: Vec<Timeline>,
     connected: HashSet<(NodeId, NodeId)>,
-    trace: Option<NetTrace>,
     transfers: u64,
     wire_bytes: u64,
 }
@@ -72,7 +70,6 @@ impl NetworkModel {
             tx: vec![Timeline::new(); nodes],
             rx: vec![Timeline::new(); nodes],
             connected: HashSet::new(),
-            trace: None,
             transfers: 0,
             wire_bytes: 0,
         }
@@ -86,16 +83,6 @@ impl NetworkModel {
     /// Access the configuration.
     pub fn config(&self) -> &NetConfig {
         &self.cfg
-    }
-
-    /// Enable transfer tracing (for tests / debugging).
-    pub fn enable_trace(&mut self) {
-        self.trace = Some(NetTrace::new());
-    }
-
-    /// Recorded transfers, if tracing is enabled.
-    pub fn trace(&self) -> Option<&NetTrace> {
-        self.trace.as_ref()
     }
 
     /// Total messages that crossed node boundaries.
@@ -153,23 +140,11 @@ impl NetworkModel {
         let (_, rx_end) = self.rx[dst.index()].reserve(tx_start + self.cfg.latency, occupancy);
         self.transfers += 1;
         self.wire_bytes += wire_bytes;
-        let plan = TransferPlan {
+        TransferPlan {
             sender_done: tx_end,
             delivered: rx_end,
             wire_bytes,
-        };
-        if let Some(trace) = &mut self.trace {
-            trace.record(TransferRecord {
-                at: now,
-                src,
-                dst,
-                payload_bytes,
-                wire_bytes,
-                sender_done: plan.sender_done,
-                delivered: plan.delivered,
-            });
         }
-        plan
     }
 
     /// Transmit-lane utilization of a node: busy time on its tx timeline.
@@ -270,17 +245,6 @@ mod tests {
         let p = n.transfer(SimTime(0), NodeId(0), NodeId(1), 1000, Traffic::DpsObject);
         assert_eq!(p.wire_bytes, 1000 + NetConfig::default().dps_header_bytes);
         assert_eq!(n.wire_bytes_total(), p.wire_bytes);
-    }
-
-    #[test]
-    fn trace_records_transfers() {
-        let mut n = net();
-        n.enable_trace();
-        n.transfer(SimTime(0), NodeId(0), NodeId(1), 10, Traffic::Socket);
-        n.transfer(SimTime(1), NodeId(1), NodeId(2), 20, Traffic::Socket);
-        let t = n.trace().unwrap();
-        assert_eq!(t.len(), 2);
-        assert_eq!(t.records()[1].payload_bytes, 20);
     }
 
     #[test]

@@ -529,3 +529,94 @@ fn mt_engine_app_name_is_stored_and_surfaced_in_errors() {
     );
     eng.shutdown();
 }
+
+dps_token! { pub struct Count { pub n: u32 } }
+dps_token! { pub struct Item { pub i: u32 } }
+dps_token! { pub struct Tally { pub sum: u64, pub count: u32 } }
+
+struct Fan;
+impl SplitOperation for Fan {
+    type Thread = ();
+    type In = Count;
+    type Out = Item;
+    fn execute(&mut self, ctx: &mut OpCtx<'_, (), Item>, c: Count) {
+        for i in 0..c.n {
+            ctx.post(Item { i });
+        }
+    }
+}
+
+/// Forwards only even items and posts nothing from `finalize`: the wave's
+/// last input posts nothing, so once the earlier posts have left, the
+/// out-wave total can only travel as a wave-close message.
+struct EvenOnly;
+impl StreamOperation for EvenOnly {
+    type Thread = ();
+    type In = Item;
+    type Out = Item;
+    fn consume(&mut self, ctx: &mut OpCtx<'_, (), Item>, t: Item) {
+        if t.i.is_multiple_of(2) {
+            ctx.post(t);
+        }
+    }
+    fn finalize(&mut self, _ctx: &mut OpCtx<'_, (), Item>) {}
+}
+
+#[derive(Default)]
+struct TallyMerge {
+    sum: u64,
+    count: u32,
+}
+impl MergeOperation for TallyMerge {
+    type Thread = ();
+    type In = Item;
+    type Out = Tally;
+    fn consume(&mut self, _ctx: &mut OpCtx<'_, (), Tally>, t: Item) {
+        self.sum += t.i as u64;
+        self.count += 1;
+    }
+    fn finalize(&mut self, ctx: &mut OpCtx<'_, (), Tally>) {
+        ctx.post(Tally {
+            sum: self.sum,
+            count: self.count,
+        });
+    }
+}
+
+/// split → filtering stream (on another node) → merge.
+fn even_stream<E: Engine>(eng: &mut E, n: u32) -> Tally {
+    let app = eng.app("close");
+    let main: ThreadCollection<()> = eng.thread_collection(app, "m", "node0").unwrap();
+    let far: ThreadCollection<()> = eng.thread_collection(app, "s", "node1").unwrap();
+    let mut b = GraphBuilder::new("even-stream");
+    let s = b.split(&main, || ToThread(0), || Fan);
+    let st = b.stream(&far, || ToThread(0), || EvenOnly);
+    let m = b.merge(&main, || ToThread(0), TallyMerge::default);
+    b.add(s >> st >> m);
+    let app: Application<E, Count, Tally> = Application::build(eng, b).unwrap();
+    *app.call(eng, Count { n }).unwrap()
+}
+
+/// A stream whose wave ends on an input that posts nothing sends its
+/// out-wave total as a wave-close; both engines must merge the same,
+/// correct result through that path.
+#[test]
+fn stream_wave_close_path_agrees_across_engines() {
+    for n in [2u32, 4, 8, 64] {
+        let want = Tally {
+            sum: (0..n).filter(|i| i.is_multiple_of(2)).map(u64::from).sum(),
+            count: n.div_ceil(2),
+        };
+        let sim = even_stream(&mut SimEngine::new(ClusterSpec::paper_testbed(2)), n);
+        let mut mt_eng = MtEngine::new(2);
+        let mt = even_stream(&mut mt_eng, n);
+        mt_eng.shutdown();
+        for (engine, got) in [("sim", &sim), ("mt", &mt)] {
+            assert_eq!(
+                (got.sum, got.count),
+                (want.sum, want.count),
+                "{engine}: n={n}"
+            );
+        }
+    }
+}
