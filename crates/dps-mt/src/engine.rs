@@ -1,13 +1,13 @@
 //! Engine lifecycle: declaration phase, thread spawning, run driving.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use dps_sched::FeedbackSink;
 
-use crossbeam::channel::{unbounded, Receiver, Sender};
+use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
 use crossbeam::utils::CachePadded;
 use dps_cluster::{resolve_mapping, ClusterSpec, NodeId};
 use dps_core::{
@@ -17,7 +17,7 @@ use dps_core::{
 use parking_lot::Mutex;
 
 use crate::remote::RemoteExec;
-use crate::worker::{worker_loop, Msg, Output, Shared, SharedApp, SharedGraph, SharedTc};
+use crate::worker::{worker_loop, Msg, Shared, SharedApp, SharedGraph, SharedTc, ToDriver};
 
 /// Tunables of the threaded engine.
 #[derive(Debug, Clone)]
@@ -74,9 +74,10 @@ pub struct MtEngine {
     apps: Vec<AppDecl>,
     services: HashMap<String, (u32, u32)>,
     shared: Option<Arc<Shared>>,
-    output_rx: Option<Receiver<Output>>,
-    error_rx: Option<Receiver<DpsError>>,
+    driver_rx: Option<Receiver<ToDriver>>,
     out_buf: HashMap<(u32, u32), Vec<TokenBox>>,
+    /// Worker errors taken off the channel but not yet returned by a wait.
+    errors: VecDeque<DpsError>,
     handles: Vec<std::thread::JoinHandle<()>>,
     started_at: Instant,
     feedback: Option<Arc<dyn FeedbackSink>>,
@@ -108,9 +109,9 @@ impl MtEngine {
             apps: Vec::new(),
             services: HashMap::new(),
             shared: None,
-            output_rx: None,
-            error_rx: None,
+            driver_rx: None,
             out_buf: HashMap::new(),
+            errors: VecDeque::new(),
             handles: Vec::new(),
             started_at: Instant::now(),
             feedback: None,
@@ -305,8 +306,7 @@ impl MtEngine {
         if self.shared.is_some() {
             return;
         }
-        let (output_tx, output_rx) = unbounded();
-        let (error_tx, error_rx) = unbounded();
+        let (driver_tx, driver_rx) = unbounded();
         let mut shared_apps = Vec::with_capacity(self.apps.len());
         let mut receivers: Vec<Vec<Vec<Receiver<Msg>>>> = Vec::new();
         for a in &self.apps {
@@ -372,8 +372,7 @@ impl MtEngine {
             wave_counter: AtomicU64::new(0),
             call_counter: AtomicU64::new(0),
             pending_calls: Mutex::new(HashMap::new()),
-            output_tx,
-            error_tx,
+            driver_tx,
             feedback: self.feedback.clone(),
             node_flops: self.node_flops,
             remote: self.remote.clone(),
@@ -410,8 +409,7 @@ impl MtEngine {
             }
         }
         self.shared = Some(shared);
-        self.output_rx = Some(output_rx);
-        self.error_rx = Some(error_rx);
+        self.driver_rx = Some(driver_rx);
     }
 
     /// Submit a token into a graph's entry (starting the worker threads on
@@ -426,7 +424,9 @@ impl MtEngine {
 
     /// Block until `graph` has produced at least `expected_outputs`
     /// undrained outputs, or a worker reported an error, or the run
-    /// timeout expires (the DPS deadlock analogue).
+    /// timeout expires (the DPS deadlock analogue). Wakes for the output
+    /// or error that decides it, polling briefly before parking like every
+    /// worker does (see `crate::wait`).
     pub fn wait_for_outputs(&mut self, graph: MtGraph, expected_outputs: usize) -> Result<()> {
         self.ensure_started();
         let deadline = Instant::now() + self.cfg.run_timeout;
@@ -435,51 +435,45 @@ impl MtEngine {
             if self.out_buf.get(&key).map(Vec::len).unwrap_or(0) >= expected_outputs {
                 return Ok(());
             }
-            if let Ok(e) = self.error_rx.as_ref().expect("started").try_recv() {
+            if let Some(e) = self.errors.pop_front() {
                 return Err(e);
             }
-            let remaining = deadline
-                .checked_duration_since(Instant::now())
-                .unwrap_or(Duration::ZERO);
-            if remaining.is_zero() {
-                return Err(DpsError::IncompleteWaves {
-                    waves: vec![format!(
-                        "application {}: timed out after {:?} waiting for {} outputs \
-                         ({} received)",
-                        self.apps[graph.app as usize].name,
-                        self.cfg.run_timeout,
-                        expected_outputs,
-                        self.out_buf.get(&key).map(Vec::len).unwrap_or(0)
-                    )],
-                });
-            }
-            match self
-                .output_rx
-                .as_ref()
-                .expect("started")
-                .recv_timeout(remaining.min(Duration::from_millis(50)))
-            {
-                Ok(out) => {
-                    self.out_buf
-                        .entry((out.app, out.graph))
-                        .or_default()
-                        .push(out.token);
+            let rx = self.driver_rx.as_ref().expect("started");
+            match crate::wait::recv(rx, Some(deadline)) {
+                Ok(msg) => self.store(msg),
+                // The engine's shared state holds a sender, so only the
+                // deadline ends the wait.
+                Err(RecvTimeoutError::Timeout | RecvTimeoutError::Disconnected) => {
+                    return Err(DpsError::IncompleteWaves {
+                        waves: vec![format!(
+                            "application {}: timed out after {:?} waiting for {} outputs \
+                             ({} received)",
+                            self.apps[graph.app as usize].name,
+                            self.cfg.run_timeout,
+                            expected_outputs,
+                            self.out_buf.get(&key).map(Vec::len).unwrap_or(0)
+                        )],
+                    });
                 }
-                Err(_) => { /* timeout slice; loop re-checks */ }
             }
+        }
+    }
+
+    /// File a worker message: outputs by graph, errors in arrival order.
+    fn store(&mut self, msg: ToDriver) {
+        match msg {
+            ToDriver::Output { app, graph, token } => {
+                self.out_buf.entry((app, graph)).or_default().push(token)
+            }
+            ToDriver::Error(e) => self.errors.push_back(e),
         }
     }
 
     /// Drain the outputs `graph` has produced so far (unordered).
     pub fn drain_outputs(&mut self, graph: MtGraph) -> Vec<TokenBox> {
         // Sweep anything already sitting in the channel first.
-        if let Some(rx) = self.output_rx.as_ref() {
-            while let Ok(out) = rx.try_recv() {
-                self.out_buf
-                    .entry((out.app, out.graph))
-                    .or_default()
-                    .push(out.token);
-            }
+        while let Some(msg) = self.driver_rx.as_ref().and_then(|rx| rx.try_recv().ok()) {
+            self.store(msg);
         }
         self.out_buf
             .remove(&(graph.app, graph.graph))

@@ -25,6 +25,7 @@
 
 mod engine;
 pub mod remote;
+mod wait;
 mod worker;
 
 pub use engine::{FailHandle, MtApp, MtConfig, MtEngine, MtGraph};

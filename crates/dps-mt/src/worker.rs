@@ -18,7 +18,7 @@ use dps_core::{
     wire_roundtrip, DpsError, Envelope, Flowgraph, GNodeId, OpKind, RouteInfo, Token, TokenBox,
     TokenRegistry, WaveKey,
 };
-use dps_obs::{Counter, EventKind, Gauge, TraceCollector, TraceWriter};
+use dps_obs::{Counter, EventKind, Gauge, LabelId, TraceCollector, TraceWriter};
 use parking_lot::Mutex;
 
 use crate::remote::{remote_for, RemoteExec, RemoteKind, RemoteTask};
@@ -44,11 +44,17 @@ pub(crate) enum Msg {
     Fail,
 }
 
-/// A token that left a graph.
-pub(crate) struct Output {
-    pub app: u32,
-    pub graph: u32,
-    pub token: TokenBox,
+/// What the workers tell the run driver, over one channel, so a waiting
+/// driver wakes for whichever comes first.
+pub(crate) enum ToDriver {
+    /// A token left graph `graph` of application `app`.
+    Output {
+        app: u32,
+        graph: u32,
+        token: TokenBox,
+    },
+    /// A runtime error surfaced on a worker.
+    Error(DpsError),
 }
 
 pub(crate) struct SharedTc {
@@ -163,8 +169,7 @@ pub(crate) struct Shared {
     pub wave_counter: AtomicU64,
     pub call_counter: AtomicU64,
     pub pending_calls: Mutex<HashMap<u64, CallReturn>>,
-    pub output_tx: Sender<Output>,
-    pub error_tx: Sender<DpsError>,
+    pub driver_tx: Sender<ToDriver>,
     /// Chunk-completion reports (wall-clock) go here, if registered — the
     /// dynamic loop-scheduling feedback channel (`dps-sched`).
     pub feedback: Option<Arc<dyn FeedbackSink>>,
@@ -231,6 +236,10 @@ struct Worker {
     pending_expected: HashMap<WaveKey, u32>,
     /// This thread's trace writer (one SPSC ring), when a sink is attached.
     trace: Option<TraceWriter>,
+    /// Trace labels this worker already interned, keyed by `(graph, node)`
+    /// for op labels and `(graph, None)` for graph labels: the collector's
+    /// interner takes a global lock, so each label is looked up there once.
+    labels: HashMap<(u32, Option<u32>), LabelId>,
 }
 
 impl Worker {
@@ -239,6 +248,11 @@ impl Worker {
         if let (Some(w), Some(c)) = (self.trace.as_mut(), shared.trace.as_ref()) {
             w.record(c.now_nanos(), kind);
         }
+    }
+
+    /// The trace label of `name`, interned in `c` on first use of `key`.
+    fn label(&mut self, c: &TraceCollector, key: (u32, Option<u32>), name: &str) -> LabelId {
+        *self.labels.entry(key).or_insert_with(|| c.label(name))
     }
 }
 
@@ -286,7 +300,7 @@ pub(crate) fn send_error(shared: &Shared, app: u32, e: DpsError) {
             },
         );
     }
-    let _ = shared.error_tx.send(e);
+    let _ = shared.driver_tx.send(ToDriver::Error(e));
 }
 
 /// Inject a token into a graph entry from outside (the run driver).
@@ -318,10 +332,11 @@ pub(crate) fn worker_loop(
             .trace
             .as_ref()
             .map(|c| c.writer(node as u16, thread as u16)),
+        labels: HashMap::new(),
     };
     let mut stopped = false;
     let mut dead = false;
-    while let Ok(msg) = rx.recv() {
+    while let Ok(msg) = crate::wait::recv(&rx, None) {
         if !dead && shared.node_dead(node) {
             // The node was killed: become a tombstone. The thread stays
             // alive so late sends never hit a closed channel; it abandons
@@ -533,7 +548,7 @@ fn handle_exec(
         op.on_token(&mut out, w.data.as_mut(), info, &name, token)?;
         report_completion(shared, w, &out, t0);
         if let (Some(start), Some(c)) = (t0n, shared.trace.as_ref()) {
-            let op = c.label(&name);
+            let op = w.label(c, (graph, Some(node.0)), &name);
             let wave = env.frames.last().map_or(0, |f| f.wave as u32);
             let end = c.now_nanos();
             if let Some(wtr) = w.trace.as_mut() {
@@ -548,7 +563,7 @@ fn handle_exec(
         OpKind::Split => {
             let wave = shared.wave_counter.fetch_add(1, Ordering::Relaxed);
             if let Some(c) = shared.trace.as_ref() {
-                let graph_label = c.label(def.name());
+                let graph_label = w.label(c, (graph, None), def.name());
                 w.trace(
                     shared,
                     EventKind::WaveStart {
@@ -664,7 +679,7 @@ fn handle_consume(
         }
         report_completion(shared, w, &out, t0);
         if let (Some(start), Some(c)) = (t0n, shared.trace.as_ref()) {
-            let op = c.label(&name);
+            let op = w.label(c, (graph, Some(node.0)), &name);
             let wave32 = frame.wave as u32;
             let end = c.now_nanos();
             if let Some(wtr) = w.trace.as_mut() {
@@ -708,7 +723,7 @@ fn handle_consume(
 
     if completes {
         if let Some(c) = shared.trace.as_ref() {
-            let graph_label = c.label(def.name());
+            let graph_label = w.label(c, (graph, None), def.name());
             w.trace(
                 shared,
                 EventKind::WaveEnd {
@@ -829,7 +844,9 @@ fn emit(
             shared, ret.app, ret.graph, ret.node, src_node, token, ret.env,
         ),
         Ok(Exit::Output) => {
-            let _ = shared.output_tx.send(Output { app, graph, token });
+            let _ = shared
+                .driver_tx
+                .send(ToDriver::Output { app, graph, token });
         }
         Err(e) => send_error(shared, app, e),
     }

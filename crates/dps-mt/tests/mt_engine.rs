@@ -223,3 +223,146 @@ fn timeout_reports_deadlock_shape() {
         .unwrap_err();
     assert!(err.to_string().contains("timed out"));
 }
+
+/// A leaf that breaks the one-post contract by posting nothing.
+struct Silent;
+impl LeafOperation for Silent {
+    type Thread = ();
+    type In = Piece;
+    type Out = Piece;
+    fn execute(&mut self, _ctx: &mut OpCtx<'_, (), Piece>, _p: Piece) {}
+}
+
+/// A worker's error wakes the waiting driver at once: it shares the
+/// outputs' channel, so no wait slice delays it.
+#[test]
+fn worker_error_surfaces_at_once() {
+    let mut fastest = std::time::Duration::MAX;
+    for _ in 0..5 {
+        let cfg = MtConfig {
+            run_timeout: std::time::Duration::from_secs(5),
+            ..MtConfig::default()
+        };
+        let mut eng = MtEngine::with_config(2, cfg);
+        let app = eng.app("silent");
+        let main: ThreadCollection<()> = eng.thread_collection(app, "main", "node0").unwrap();
+        let workers: ThreadCollection<()> = eng.thread_collection(app, "proc", "node1").unwrap();
+        let mut b = GraphBuilder::new("silent");
+        let s = b.split(&main, || ToThread(0), || Fan);
+        let l = b.leaf(&workers, || ToThread(0), || Silent);
+        let m = b.merge(&main, || ToThread(0), Sum::default);
+        b.add(s >> l >> m);
+        let g = eng.build_graph(b).unwrap();
+        let t0 = std::time::Instant::now();
+        let err = eng
+            .run_graph(g, vec![Box::new(Job { n: 1 })], 1)
+            .unwrap_err();
+        fastest = fastest.min(t0.elapsed());
+        assert!(
+            matches!(err, DpsError::OperationContract { .. }),
+            "expected the leaf's contract error, got {err}"
+        );
+    }
+    assert!(
+        fastest < std::time::Duration::from_millis(10),
+        "the fastest of 5 runs took {fastest:?} to surface the error"
+    );
+}
+
+/// `shutdown` reaches workers that have just gone idle, i.e. are still
+/// polling their inboxes: the join returns promptly every time.
+#[test]
+fn shutdown_reaches_polling_workers() {
+    for _ in 0..20 {
+        let mut eng = MtEngine::new(2);
+        let g = build(&mut eng, 2);
+        let t = eng.run_one::<Total>(g, Box::new(Job { n: 8 })).unwrap();
+        assert_eq!(t.sum, expected_sum(8));
+        let t0 = std::time::Instant::now();
+        eng.shutdown();
+        assert!(t0.elapsed() < std::time::Duration::from_secs(2));
+    }
+}
+
+/// Releases piece 0 at once and holds every other piece for 300 ms.
+struct Stagger;
+impl LeafOperation for Stagger {
+    type Thread = ();
+    type In = Piece;
+    type Out = Piece;
+    fn execute(&mut self, ctx: &mut OpCtx<'_, (), Piece>, p: Piece) {
+        if p.i > 0 {
+            std::thread::sleep(std::time::Duration::from_millis(300));
+        }
+        ctx.post(p);
+    }
+}
+
+/// A merge that flags each consumed piece to the test.
+struct Flagging {
+    consumed: std::sync::Arc<std::sync::atomic::AtomicBool>,
+    sum: Sum,
+}
+impl MergeOperation for Flagging {
+    type Thread = ();
+    type In = Piece;
+    type Out = Total;
+    fn consume(&mut self, ctx: &mut OpCtx<'_, (), Total>, p: Piece) {
+        self.sum.consume(ctx, p);
+        self.consumed
+            .store(true, std::sync::atomic::Ordering::Release);
+    }
+    fn finalize(&mut self, ctx: &mut OpCtx<'_, (), Total>) {
+        self.sum.finalize(ctx);
+    }
+}
+
+/// `fail_node` reaches an idle worker holding a partial merge wave, at
+/// offsets inside and past the poll budget: the worker abandons the wave
+/// and its `NodeDown` surfaces long before the held piece would arrive.
+#[test]
+fn fail_node_reaches_polling_workers() {
+    use std::sync::atomic::{AtomicBool, Ordering};
+    use std::sync::Arc;
+    use std::time::{Duration, Instant};
+    for offset_us in [0u64, 10, 30, 1000, 20_000] {
+        let consumed = Arc::new(AtomicBool::new(false));
+        let mut eng = MtEngine::new(2);
+        let app = eng.app("fail-idle");
+        let main: ThreadCollection<()> = eng.thread_collection(app, "main", "node0").unwrap();
+        let homes: ThreadCollection<()> = eng.thread_collection(app, "home", "node1").unwrap();
+        let mut b = GraphBuilder::new("fail-idle");
+        let s = b.split(&main, || ToThread(0), || Fan);
+        let l = b.leaf(&main, || ToThread(0), || Stagger);
+        let flag = Arc::clone(&consumed);
+        let m = b.merge(
+            &homes,
+            || ToThread(0),
+            move || Flagging {
+                consumed: Arc::clone(&flag),
+                sum: Sum::default(),
+            },
+        );
+        b.add(s >> l >> m);
+        let g = eng.build_graph(b).unwrap();
+        eng.submit(g, Box::new(Job { n: 2 }));
+        while !consumed.load(Ordering::Acquire) {
+            std::thread::yield_now();
+        }
+        let t0 = Instant::now();
+        while t0.elapsed() < Duration::from_micros(offset_us) {
+            std::hint::spin_loop();
+        }
+        eng.fail_node(1).unwrap();
+        let err = eng.wait_for_outputs(g, 1).unwrap_err();
+        assert!(
+            matches!(err, DpsError::NodeDown { .. }),
+            "offset {offset_us} us: expected NodeDown, got {err}"
+        );
+        assert!(
+            t0.elapsed() < Duration::from_millis(150),
+            "offset {offset_us} us: the abandoned wave surfaced after {:?}",
+            t0.elapsed()
+        );
+    }
+}
